@@ -22,7 +22,7 @@
 //! ```text
 //! <dir>/manifest.ck      fingerprint + group count  (schema MANIFEST_SCHEMA)
 //! <dir>/seg-000042.ck    Vec<RunOutcome> of group 42 (schema SEGMENT_SCHEMA)
-//! <dir>/spill/w<k>/...   per-worker snapshot spool (when spilling)
+//! <dir>/spill/w<k>/      per-worker snapshot spool (when spilling)
 //! ```
 //!
 //! All files go through the [`homonym_sim::store`] container: magic,
@@ -42,13 +42,13 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use homonym_core::identity::IdentityAssignment;
 use homonym_core::wire;
 use homonym_sim::sweep::parallel_seed_sweep_with;
 use homonym_sim::{read_verified, write_atomic, SpoolStats, StoreError};
 
+use crate::stack::with_stack;
 use crate::sweep::{
-    aggregate, plan_runs, run_family_forked, ForkedWorkers, RunOutcome, SweepConfig, SweepReport,
+    aggregate, plan_runs, run_family, RunOutcome, SweepConfig, SweepReport, Worker,
 };
 
 /// Payload schema of `manifest.ck`. Bump when the manifest layout or
@@ -100,7 +100,10 @@ pub struct ResumeStats {
     /// Segment files that existed but failed verification — their
     /// groups were re-executed, counted under `groups_executed` too.
     pub corrupt_segments: u64,
-    /// Spill activity across all workers (zeros when spilling is off).
+    /// Spill activity of this invocation (zeros when spilling is off):
+    /// `spilled`, `reloaded` and `corrupt` are summed over all workers;
+    /// `bytes_on_disk` is the largest spool size any worker reported
+    /// after finishing a group.
     pub spill: SpoolStats,
 }
 
@@ -185,12 +188,10 @@ pub fn checkpointed_falsification_sweep(
     cfg: &SweepConfig,
     ck: &CheckpointConfig,
 ) -> Result<(SweepReport, ResumeStats), StoreError> {
-    assert!(!cfg.families.is_empty(), "sweep needs at least one family");
+    let (assign, runs) = plan_runs(cfg);
     std::fs::create_dir_all(&ck.dir)?;
     check_manifest(cfg, &ck.dir)?;
 
-    let assign = IdentityAssignment::round_robin(cfg.n, cfg.l);
-    let runs = plan_runs(cfg, &assign);
     let variants = cfg.variants.max(1);
     let mut stats = ResumeStats {
         groups_total: cfg.scenarios as u64,
@@ -246,41 +247,39 @@ pub fn checkpointed_falsification_sweep(
         .collect();
     stats.groups_executed = pending.len() as u64;
     let worker_seq = AtomicU64::new(0);
-    let spill_corrupt = AtomicU64::new(0);
-    let executed: Vec<Result<(usize, Vec<RunOutcome>), StoreError>> = parallel_seed_sweep_with(
-        pending.len(),
-        || {
-            let mut workers = ForkedWorkers::new();
-            if let Some(budget) = ck.spill_budget {
-                let w = worker_seq.fetch_add(1, Ordering::Relaxed);
-                workers.enable_spill(&ck.dir.join("spill").join(format!("w{w}")), budget);
-            }
-            workers
-        },
-        |workers, i| {
-            let g = pending[i as usize];
-            let group = &runs[g * variants..(g + 1) * variants];
-            let before = workers.spool_stats().corrupt;
-            let seg = run_family_forked(cfg, &assign, workers, group);
-            write_atomic(
-                &segment_path(&ck.dir, g),
-                SEGMENT_SCHEMA,
-                &wire::to_bytes(&seg),
-            )?;
-            spill_corrupt.fetch_add(
-                workers.spool_stats().corrupt.saturating_sub(before),
-                Ordering::Relaxed,
-            );
-            Ok((g, seg))
-        },
-    );
-    // Spool stats live in worker-local state rayon already dropped;
-    // surface at least the corruption count observed mid-run. (The
-    // spill benchmarks exercise full stats through `PrefixSweeper`
-    // directly.)
-    stats.spill.corrupt = spill_corrupt.load(Ordering::Relaxed);
+    let executed = with_stack!(cfg.stack, |S| {
+        parallel_seed_sweep_with(
+            pending.len(),
+            || {
+                let mut worker = Worker::<S>::new();
+                if let Some(budget) = ck.spill_budget {
+                    let w = worker_seq.fetch_add(1, Ordering::Relaxed);
+                    worker.enable_spill(&ck.dir.join("spill").join(format!("w{w}")), budget);
+                }
+                worker
+            },
+            |worker, i| {
+                let g = pending[i as usize];
+                let group = &runs[g * variants..(g + 1) * variants];
+                let before = worker.spool_stats();
+                let seg = run_family(cfg, &assign, worker, group);
+                write_atomic(
+                    &segment_path(&ck.dir, g),
+                    SEGMENT_SCHEMA,
+                    &wire::to_bytes(&seg),
+                )?;
+                Ok::<_, StoreError>((g, seg, before, worker.spool_stats()))
+            },
+        )
+    });
     for result in executed {
-        let (g, seg) = result?;
+        // Spool counters are cumulative per worker: add this group's
+        // share of them.
+        let (g, seg, before, after) = result?;
+        stats.spill.spilled += after.spilled - before.spilled;
+        stats.spill.reloaded += after.reloaded - before.reloaded;
+        stats.spill.corrupt += after.corrupt - before.corrupt;
+        stats.spill.bytes_on_disk = stats.spill.bytes_on_disk.max(after.bytes_on_disk);
         outcomes[g] = Some(seg);
     }
 

@@ -84,6 +84,7 @@ pub mod checkpoint;
 pub mod generators;
 pub mod scenario;
 pub mod session;
+mod stack;
 pub mod story;
 pub mod sweep;
 

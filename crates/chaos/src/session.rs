@@ -54,7 +54,7 @@ use homonym_core::time::{Span, Time};
 use homonym_core::FailureSchedule;
 use homonym_detectors::evt_hp::EvtHpProcess;
 use homonym_detectors::h_sigma_sync::HSigmaSyncProcess;
-use homonym_detectors::oracle::{HOmegaOracle, HSigmaOracle, OracleWorld, PreStability};
+use homonym_detectors::oracle::{HOmegaOracle, HSigmaOracle};
 use homonym_sim::engine::{Engine, SimConfig, StopReason};
 use homonym_sim::network::NetworkModel;
 use homonym_sim::process::Process;
@@ -63,9 +63,10 @@ use homonym_sim::sync_engine::{SyncConfig, SyncEngine, SyncProcess};
 use homonym_sim::workload::{CommandQueue, WorkloadConfig};
 
 use crate::scenario::Scenario;
-use crate::sweep::{
-    byz_tolerant_node, clean_instant, fig8_node, hps_base, ByzTolerantNode, Fig8Node,
+use crate::stack::{
+    proposals, ByzTolerant, EvtHpDetector, Fig8EvtHp, Fig9OracleQuorum, SweepStack,
 };
+use crate::sweep::{clean_instant, hps_base, ByzTolerantNode, Fig8Node};
 
 /// What a [`Session`] runs *toward*.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -283,10 +284,8 @@ impl SessionBuilder {
             .unwrap_or_else(|| IdentityAssignment::round_robin(self.n, self.l))
     }
 
-    fn proposal(&self, p: usize) -> u64 {
-        self.proposals
-            .as_ref()
-            .map_or(100 + p as u64, |props| props[p])
+    fn proposals(&self) -> Vec<u64> {
+        self.proposals.clone().unwrap_or_else(|| proposals(self.n))
     }
 
     /// Lowers the builder into an installed event-engine configuration.
@@ -352,8 +351,14 @@ impl SessionBuilder {
         }
     }
 
-    fn finish<P: Process>(self, factory: impl FnMut(usize, Identity) -> P) -> Session<P> {
-        self.build(factory)
+    /// A session over the sweep's wiring of stack `S` (the same node
+    /// factory the falsification sweep drives), on this builder's
+    /// network, scenario and proposals.
+    fn stack<S: SweepStack>(self) -> Session<S::Node> {
+        let sim = self.sim_config();
+        let props = self.proposals();
+        let nodes = S::nodes(&sim, self.stability_instant(), &props);
+        self.build(|p, _| nodes(p))
     }
 
     // ---- terminal constructors: event engine --------------------------
@@ -362,43 +367,28 @@ impl SessionBuilder {
     /// consensus (`t = ⌊(n−1)/2⌋`).
     #[must_use]
     pub fn fig8(self) -> Session<Fig8Node> {
-        let n = self.n;
-        let t = (n - 1) / 2;
-        let props: Vec<u64> = (0..n).map(|p| self.proposal(p)).collect();
-        self.finish(move |p, _| fig8_node(props[p], n, t))
+        self.stack::<Fig8EvtHp>()
     }
 
     /// Byzantine-tolerant stack: detector over quorum-certificate
     /// consensus (`n > 3f`).
     #[must_use]
     pub fn byz_tolerant(self) -> Session<ByzTolerantNode> {
-        let assign = self.assignment();
-        let props: Vec<u64> = (0..self.n).map(|p| self.proposal(p)).collect();
-        self.finish(move |p, _| byz_tolerant_node(props[p], &assign))
+        self.stack::<ByzTolerant>()
     }
 
     /// Detector-only stack (no decisions — pair with
     /// [`Goal::TickHorizon`]).
     #[must_use]
     pub fn detector(self) -> Session<EvtHpProcess> {
-        self.finish(|_, _| EvtHpProcess::new())
+        self.stack::<EvtHpDetector>()
     }
 
     /// Figure 9 stack over precomputed `HΩ`/`HΣ` oracles that stabilize
     /// at the builder's [`stability instant`](SessionBuilder::stability_instant).
     #[must_use]
     pub fn fig9_oracle(self) -> Session<QuorumConsensus<HOmegaOracle, HSigmaOracle>> {
-        let stability = self.stability_instant();
-        let cfg = self.sim_config();
-        let world = OracleWorld::new(cfg.sched.clone(), cfg.assign.clone(), stability);
-        let props: Vec<u64> = (0..self.n).map(|p| self.proposal(p)).collect();
-        self.finish(move |p, _| {
-            QuorumConsensus::new(
-                props[p],
-                world.h_omega_for(p, PreStability::Chaotic),
-                world.h_sigma_for(p, PreStability::Truthful),
-            )
-        })
+        self.stack::<Fig9OracleQuorum>()
     }
 
     /// The replicated log service over the Byzantine-tolerant engine
@@ -407,7 +397,7 @@ impl SessionBuilder {
     pub fn rsm(self, workload: &WorkloadConfig) -> Session<RsmNode> {
         let assign = self.assignment();
         let queues = workload.queues(self.n);
-        let mut session = self.finish(move |p, _| rsm_node(&assign, queues[p].clone()));
+        let mut session = self.build(move |p, _| rsm_node(&assign, queues[p].clone()));
         session.log_view = Some(|node: &RsmNode| node.upper().log());
         session
     }
@@ -418,7 +408,7 @@ impl SessionBuilder {
     pub fn rsm_fig8(self, workload: &WorkloadConfig) -> Session<RsmFig8Node> {
         let assign = self.assignment();
         let queues = workload.queues(self.n);
-        let mut session = self.finish(move |p, _| rsm_fig8_node(&assign, queues[p].clone()));
+        let mut session = self.build(move |p, _| rsm_fig8_node(&assign, queues[p].clone()));
         session.log_view = Some(|node: &RsmFig8Node| node.upper().log());
         session
     }

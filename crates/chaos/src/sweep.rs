@@ -15,6 +15,14 @@
 //!
 //! # Two executors, one verdict set
 //!
+//! Both executors are generic over one stack definition: a crate-private
+//! `SweepStack` impl per [`StackKind`] supplies the node factory, base
+//! network, run goal, property check and
+//! [`RunCondition`](homonym_core::properties::RunCondition) of its stack,
+//! and whether its node construction is prefix-invariant. Each public
+//! entry point turns its [`StackKind`] into that type once; the runners
+//! below it never match on the stack.
+//!
 //! * [`falsification_sweep`] — the **flat** executor: every run
 //!   re-executes its full history from tick 0. This is the differential
 //!   baseline.
@@ -26,10 +34,10 @@
 //!   restored per variant ([`PrefixSweeper`]). The verdict sets of the
 //!   two executors are **identical** — `tests/chaos_scenarios.rs` and
 //!   the `chaos_sweep_forked` bench row assert report equality and
-//!   per-run event-count equality. Stacks whose process construction
-//!   embeds per-variant parameters (the oracle-backed Figure 9 stack:
-//!   its `OracleWorld` stabilization instant differs per variant) take
-//!   the flat path inside the forked executor — the documented worst
+//!   per-run event-count equality. Stacks whose node construction is
+//!   not prefix-invariant (the oracle-backed Figure 9 stack: its
+//!   `OracleWorld` stabilization instant differs per variant) take the
+//!   flat runner inside the forked executor — the documented worst
 //!   case, no shared prefix.
 //!
 //! # What counts as a counterexample
@@ -47,22 +55,20 @@
 //! and the pre-heal probes double as the demonstration that liveness
 //! *correctly* fails while a partition is up and holds once it heals.
 
-use homonym_consensus::{ByzQuorumConsensus, HOmegaPolicy, MajorityConsensus, QuorumConsensus};
+use std::path::Path;
+
+use homonym_consensus::{ByzQuorumConsensus, HOmegaPolicy, MajorityConsensus};
 use homonym_core::classes::HOmegaOutput;
-use homonym_core::failure::FailureSchedule;
 use homonym_core::identity::{Identity, IdentityAssignment};
-use homonym_core::properties::{
-    check_byzantine_consensus, check_consensus, check_evt_hp, check_h_omega, classify_run,
-    PropertyViolation, RunCondition, RunVerdict,
-};
+use homonym_core::properties::{classify_run, PropertyViolation, RunVerdict};
 use homonym_core::query::SharedCell;
 use homonym_core::time::{Span, Time};
 use homonym_core::wire::Persist;
-use homonym_detectors::evt_hp::{split_snapshots, EvtHpProcess};
-use homonym_detectors::oracle::{HOmegaOracle, HSigmaOracle, OracleWorld, PreStability};
+use homonym_detectors::evt_hp::EvtHpProcess;
 use homonym_sim::engine::{Engine, EngineArena, SimConfig};
 use homonym_sim::network::{NetworkModel, PreGstBehavior};
 use homonym_sim::stack::Stacked;
+use homonym_sim::{SnapshotSpool, SpoolStats};
 
 // The shared sweep plumbing lives in `homonym_sim::sweep`; re-exported
 // here so the chaos crate presents one import surface (and so the bench
@@ -78,6 +84,7 @@ use crate::generators::{
     over_threshold_byzantine, split_brain,
 };
 use crate::scenario::{FaultClause, Scenario};
+use crate::stack::{proposals, with_stack, SweepStack};
 
 /// A scenario family the sweep can draw from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -387,85 +394,38 @@ impl SweepReport {
     }
 }
 
-/// Per-worker recycled engine allocations for the flat executor, one
-/// arena per stack shape the sweep can drive (see [`EngineArena`]).
-/// Arenas change allocation traffic only — every run remains a pure
-/// function of its config and seed (the engine's
-/// `arena_reuse_reproduces_fresh_runs` test pins the mechanism;
-/// `sweep_report_is_deterministic` in `tests/chaos_scenarios.rs` pins it
-/// at sweep scale).
-struct WorkerArenas {
-    fig8: EngineArena<Fig8Node>,
-    fig9: EngineArena<QuorumConsensus<HOmegaOracle, HSigmaOracle>>,
-    detector: EngineArena<EvtHpProcess>,
-    byz: EngineArena<ByzTolerantNode>,
+/// Per-worker state of the prefix-sharing executor for the stack `S`
+/// being swept: one prefix sweeper, plus one recycled engine arena for
+/// the runs that share no prefix (probes, and every run of a stack that
+/// is not prefix-invariant). Arenas change allocation traffic only —
+/// `sweep_report_is_deterministic` in `tests/chaos_scenarios.rs` pins it.
+pub(crate) struct Worker<S: SweepStack> {
+    arena: EngineArena<S::Node>,
+    sweeper: PrefixSweeper<S::Node>,
 }
 
-impl WorkerArenas {
-    fn new() -> Self {
-        WorkerArenas {
-            fig8: EngineArena::new(),
-            fig9: EngineArena::new(),
-            detector: EngineArena::new(),
-            byz: EngineArena::new(),
-        }
-    }
-}
-
-/// Per-worker state of the forked executor: prefix sweepers for the
-/// stacks whose process construction is variant-invariant, plus flat
-/// arenas for probes and the oracle-backed fallback.
-pub(crate) struct ForkedWorkers {
-    fig8: PrefixSweeper<Fig8Node>,
-    detector: PrefixSweeper<EvtHpProcess>,
-    byz: PrefixSweeper<ByzTolerantNode>,
-    flat: WorkerArenas,
-}
-
-impl ForkedWorkers {
+impl<S: SweepStack> Worker<S> {
     pub(crate) fn new() -> Self {
-        ForkedWorkers {
-            fig8: PrefixSweeper::new(),
-            detector: PrefixSweeper::new(),
-            byz: PrefixSweeper::new(),
-            flat: WorkerArenas::new(),
+        Worker {
+            arena: EngineArena::new(),
+            sweeper: PrefixSweeper::new(),
         }
     }
 
-    /// Enables the disk spill on every prefix sweeper this worker owns:
-    /// branch-point snapshots past `budget_bytes` of RAM move to spool
-    /// files under `dir`. Spool creation failures (read-only disk)
-    /// degrade to the all-in-RAM behaviour rather than failing the
-    /// sweep.
-    pub(crate) fn enable_spill(&mut self, dir: &std::path::Path, budget_bytes: u64) {
-        if let Ok(spool) = homonym_sim::SnapshotSpool::new(dir.join("fig8"), budget_bytes) {
-            self.fig8.enable_spill(spool);
-        }
-        if let Ok(spool) = homonym_sim::SnapshotSpool::new(dir.join("detector"), budget_bytes) {
-            self.detector.enable_spill(spool);
-        }
-        if let Ok(spool) = homonym_sim::SnapshotSpool::new(dir.join("byz"), budget_bytes) {
-            self.byz.enable_spill(spool);
+    /// Spills branch-point snapshots past `budget_bytes` of RAM to a
+    /// spool in `dir`; a spool that cannot be created (read-only disk)
+    /// leaves them in RAM rather than failing the sweep.
+    pub(crate) fn enable_spill(&mut self, dir: &Path, budget_bytes: u64) {
+        if let Some(spill) = S::SPILL {
+            if let Ok(spool) = SnapshotSpool::new(dir, budget_bytes) {
+                spill(&mut self.sweeper, spool);
+            }
         }
     }
 
-    /// Accumulated spill activity across this worker's sweepers.
-    pub(crate) fn spool_stats(&self) -> homonym_sim::SpoolStats {
-        let mut total = homonym_sim::SpoolStats::default();
-        for stats in [
-            self.fig8.spool_stats(),
-            self.detector.spool_stats(),
-            self.byz.spool_stats(),
-        ]
-        .into_iter()
-        .flatten()
-        {
-            total.spilled += stats.spilled;
-            total.reloaded += stats.reloaded;
-            total.corrupt += stats.corrupt;
-            total.bytes_on_disk += stats.bytes_on_disk;
-        }
-        total
+    /// Spill activity so far (zeros when spilling is off).
+    pub(crate) fn spool_stats(&self) -> SpoolStats {
+        self.sweeper.spool_stats().unwrap_or_default()
     }
 }
 
@@ -506,16 +466,31 @@ pub(crate) struct PlannedRun {
     probe: bool,
 }
 
-/// Expands the sweep configuration into its full run list: base
-/// scenarios in rotation order, each followed by its shared-prefix
+impl PlannedRun {
+    fn outcome(&self, verdict: RunVerdict<()>, probe_blocked: Option<bool>) -> RunOutcome {
+        RunOutcome {
+            family: self.family,
+            seed: self.seed,
+            script: self.scenario.to_string(),
+            verdict,
+            corrupt: self.scenario.corrupt_count(),
+            probe_blocked,
+        }
+    }
+}
+
+/// Expands the sweep configuration into its topology and full run list:
+/// base scenarios in rotation order, each followed by its shared-prefix
 /// variants (variant 0 *is* the base).
-pub(crate) fn plan_runs(cfg: &SweepConfig, assign: &IdentityAssignment) -> Vec<PlannedRun> {
+pub(crate) fn plan_runs(cfg: &SweepConfig) -> (IdentityAssignment, Vec<PlannedRun>) {
+    assert!(!cfg.families.is_empty(), "sweep needs at least one family");
+    let assign = IdentityAssignment::round_robin(cfg.n, cfg.l);
     let variants = cfg.variants.max(1);
     let mut runs = Vec::with_capacity(cfg.scenarios * variants);
     for i in 0..cfg.scenarios as u64 {
         let seed = cfg.base_seed + i;
         let family = cfg.families[i as usize % cfg.families.len()];
-        let base = family.generate(assign, seed);
+        let base = family.generate(&assign, seed);
         let probe_base = cfg.probe_every > 0 && i.is_multiple_of(cfg.probe_every as u64);
         for (v, scenario) in fault_window_variants(&base, seed, variants)
             .into_iter()
@@ -529,7 +504,7 @@ pub(crate) fn plan_runs(cfg: &SweepConfig, assign: &IdentityAssignment) -> Vec<P
             });
         }
     }
-    runs
+    (assign, runs)
 }
 
 /// Folds per-run outcomes into the aggregate report (shared by both
@@ -579,11 +554,11 @@ pub(crate) fn aggregate(outcomes: Vec<RunOutcome>) -> SweepReport {
 /// to validate (a generator bug, not a property violation).
 #[must_use]
 pub fn falsification_sweep(cfg: &SweepConfig) -> SweepReport {
-    assert!(!cfg.families.is_empty(), "sweep needs at least one family");
-    let assign = IdentityAssignment::round_robin(cfg.n, cfg.l);
-    let runs = plan_runs(cfg, &assign);
-    let outcomes = parallel_seed_sweep_with(runs.len(), WorkerArenas::new, |arenas, i| {
-        run_flat(cfg, &assign, arenas, &runs[i as usize])
+    let (assign, runs) = plan_runs(cfg);
+    let outcomes = with_stack!(cfg.stack, |S| {
+        parallel_seed_sweep_with(runs.len(), EngineArena::new, |arena, i| {
+            run_flat::<S>(cfg, &assign, arena, &runs[i as usize])
+        })
     });
     aggregate(outcomes)
 }
@@ -602,223 +577,117 @@ pub fn falsification_sweep(cfg: &SweepConfig) -> SweepReport {
 /// to validate.
 #[must_use]
 pub fn falsification_sweep_forked(cfg: &SweepConfig) -> SweepReport {
-    assert!(!cfg.families.is_empty(), "sweep needs at least one family");
-    let assign = IdentityAssignment::round_robin(cfg.n, cfg.l);
-    let runs = plan_runs(cfg, &assign);
+    let (assign, runs) = plan_runs(cfg);
     let variants = cfg.variants.max(1);
-    let per_family = parallel_seed_sweep_with(cfg.scenarios, ForkedWorkers::new, |workers, g| {
-        let group = &runs[g as usize * variants..(g as usize + 1) * variants];
-        run_family_forked(cfg, &assign, workers, group)
+    let per_family = with_stack!(cfg.stack, |S| {
+        parallel_seed_sweep_with(cfg.scenarios, Worker::<S>::new, |worker, g| {
+            let group = &runs[g as usize * variants..(g as usize + 1) * variants];
+            run_family(cfg, &assign, worker, group)
+        })
     });
     aggregate(per_family.into_iter().flatten().collect())
 }
 
-fn run_flat(
+/// Runs stack `S` on `sim` (clean from `clean`) inside `arena` toward
+/// `goal`, and checks the stack's properties on the result.
+fn run_once<S: SweepStack>(
+    sim: &SimConfig,
+    clean: Time,
+    goal: RunGoal,
+    proposals: &[u64],
+    corrupt: usize,
+    arena: &mut EngineArena<S::Node>,
+) -> Result<(), PropertyViolation> {
+    let nodes = S::nodes(sim, clean, proposals);
+    let mut engine = Engine::new_in(sim.clone(), |p, _| nodes(p), std::mem::take(arena));
+    match goal {
+        RunGoal::Until(t) => engine.run_until(t),
+        RunGoal::UntilAllCorrectDecided(t) => engine.run_until_all_correct_decided(t),
+    };
+    let result = S::check(&engine, proposals, corrupt);
+    *arena = engine.into_arena();
+    result
+}
+
+/// The pre-heal probe of `run` on stack `S`, if it carries one: the run
+/// cut off just before the first heal. `Some(true)` means blocked there,
+/// the expected outcome.
+fn probe<S: SweepStack>(
+    run: &PlannedRun,
+    sim: &SimConfig,
+    clean: Time,
+    proposals: &[u64],
+    arena: &mut EngineArena<S::Node>,
+) -> Option<bool> {
+    if !(S::PROBES && run.probe) {
+        return None;
+    }
+    let goal = RunGoal::UntilAllCorrectDecided(first_heal(&run.scenario)?);
+    let corrupt = run.scenario.corrupt_count();
+    Some(run_once::<S>(sim, clean, goal, proposals, corrupt, arena).is_err())
+}
+
+/// Executes one planned run from tick 0 — the flat executor's unit, and
+/// the reference the prefix-sharing executor must reproduce.
+fn run_flat<S: SweepStack>(
     cfg: &SweepConfig,
     assign: &IdentityAssignment,
-    arenas: &mut WorkerArenas,
+    arena: &mut EngineArena<S::Node>,
     run: &PlannedRun,
 ) -> RunOutcome {
-    let (verdict, probe_blocked) = match cfg.stack {
-        StackKind::Fig8EvtHp => run_fig8(
-            cfg,
-            assign,
-            &mut arenas.fig8,
-            &run.scenario,
-            run.seed,
-            run.probe.then(|| first_heal(&run.scenario)).flatten(),
-        ),
-        StackKind::Fig9OracleQuorum => run_fig9(
-            cfg,
-            assign,
-            &mut arenas.fig9,
-            &run.scenario,
-            run.seed,
-            run.probe.then(|| first_heal(&run.scenario)).flatten(),
-        ),
-        StackKind::EvtHpDetector => (
-            run_detector(cfg, assign, &mut arenas.detector, &run.scenario, run.seed),
-            None,
-        ),
-        StackKind::ByzTolerant => run_byz(
-            cfg,
-            assign,
-            &mut arenas.byz,
-            &run.scenario,
-            run.seed,
-            run.probe.then(|| first_heal(&run.scenario)).flatten(),
-        ),
-    };
-    RunOutcome {
-        family: run.family,
-        seed: run.seed,
-        script: run.scenario.to_string(),
-        verdict,
-        corrupt: run.scenario.corrupt_count(),
-        probe_blocked,
-    }
+    let proposals = proposals(cfg.n);
+    let (sim, clean) = S::install(assign, run.seed, &run.scenario);
+    let corrupt = run.scenario.corrupt_count();
+    let result = run_once::<S>(&sim, clean, S::goal(cfg, clean), &proposals, corrupt, arena);
+    let verdict = classify_run(S::condition(cfg.n, &run.scenario, clean), result);
+    run.outcome(verdict, probe::<S>(run, &sim, clean, &proposals, arena))
 }
 
 /// Executes one variant family on the prefix-sharing executor. Probes
-/// and the oracle-backed Figure 9 stack run flat (the former are
-/// truncated separate runs by definition, the latter builds per-variant
-/// oracle worlds — construction is not prefix-invariant, the documented
-/// no-sharing worst case).
-pub(crate) fn run_family_forked(
+/// run flat, and so does every run of a stack that is not
+/// prefix-invariant — the documented no-sharing worst case.
+pub(crate) fn run_family<S: SweepStack>(
     cfg: &SweepConfig,
     assign: &IdentityAssignment,
-    workers: &mut ForkedWorkers,
+    worker: &mut Worker<S>,
     group: &[PlannedRun],
 ) -> Vec<RunOutcome> {
-    match cfg.stack {
-        StackKind::Fig9OracleQuorum => group
+    if !S::PREFIX_INVARIANT {
+        return group
             .iter()
-            .map(|run| run_flat(cfg, assign, &mut workers.flat, run))
-            .collect(),
-        StackKind::Fig8EvtHp => run_fig8_family_forked(cfg, assign, workers, group),
-        StackKind::EvtHpDetector => run_detector_family_forked(cfg, assign, workers, group),
-        StackKind::ByzTolerant => run_byz_family_forked(cfg, assign, workers, group),
+            .map(|run| run_flat::<S>(cfg, assign, &mut worker.arena, run))
+            .collect();
     }
-}
-
-fn run_fig8_family_forked(
-    cfg: &SweepConfig,
-    assign: &IdentityAssignment,
-    workers: &mut ForkedWorkers,
-    group: &[PlannedRun],
-) -> Vec<RunOutcome> {
-    let n = cfg.n;
-    let t = (n - 1) / 2;
-    let proposals: Vec<u64> = (0..n as u64).map(|i| 100 + i).collect();
-    let mut cleans = Vec::with_capacity(group.len());
-    let items: Vec<PrefixItem<()>> = group
+    let proposals = proposals(cfg.n);
+    // Each item's tag is its clean instant.
+    let items: Vec<PrefixItem<Time>> = group
         .iter()
         .map(|run| {
-            let sim = SimConfig::new(assign.clone(), FailureSchedule::none(n), hps_base())
-                .with_seed(run.seed);
-            let sim = run
-                .scenario
-                .install(sim)
-                .expect("generated scenarios validate");
-            let clean = clean_instant(&sim, &run.scenario);
-            cleans.push(clean);
+            let (config, clean) = S::install(assign, run.seed, &run.scenario);
             PrefixItem {
-                goal: RunGoal::UntilAllCorrectDecided(clean + cfg.decision_margin),
-                config: sim,
-                tag: (),
+                goal: S::goal(cfg, clean),
+                config,
+                tag: clean,
             }
         })
         .collect();
-    let props = proposals.clone();
-    let verdicts = workers.fig8.run_family(
+    let verdicts = worker.sweeper.run_family(
         &items,
-        |_, p, _| fig8_node(props[p], n, t),
+        |i, p, _| S::nodes(&items[i].config, items[i].tag, &proposals)(p),
         |engine, j| {
-            let sched = engine.config().sched.clone();
-            let result = check_consensus(&engine.outcome(proposals.clone()), &sched).map(|_| ());
-            let condition = if group[j].scenario.is_lossy() {
-                RunCondition::never_clean()
-            } else {
-                RunCondition::clean_from(cleans[j])
-            };
-            classify_run(
-                condition.with_corrupt(group[j].scenario.corrupt_count()),
-                result,
-            )
+            let scenario = &group[j].scenario;
+            let result = S::check(engine, &proposals, scenario.corrupt_count());
+            classify_run(S::condition(cfg.n, scenario, items[j].tag), result)
         },
     );
     group
         .iter()
+        .zip(&items)
         .zip(verdicts)
-        .enumerate()
-        .map(|(j, (run, verdict))| {
-            let probe_blocked = run
-                .probe
-                .then(|| first_heal(&run.scenario))
-                .flatten()
-                .map(|cut| {
-                    let props = proposals.clone();
-                    let sched = items[j].config.sched.clone();
-                    let mut probe = Engine::new_in(
-                        items[j].config.clone(),
-                        |p, _| fig8_node(props[p], n, t),
-                        std::mem::take(&mut workers.flat.fig8),
-                    );
-                    probe.run_until_all_correct_decided(cut);
-                    let blocked =
-                        check_consensus(&probe.outcome(proposals.clone()), &sched).is_err();
-                    workers.flat.fig8 = probe.into_arena();
-                    blocked
-                });
-            RunOutcome {
-                family: run.family,
-                seed: run.seed,
-                script: run.scenario.to_string(),
-                verdict,
-                corrupt: run.scenario.corrupt_count(),
-                probe_blocked,
-            }
-        })
-        .collect()
-}
-
-fn run_detector_family_forked(
-    cfg: &SweepConfig,
-    assign: &IdentityAssignment,
-    workers: &mut ForkedWorkers,
-    group: &[PlannedRun],
-) -> Vec<RunOutcome> {
-    let n = cfg.n;
-    let mut cleans = Vec::with_capacity(group.len());
-    let items: Vec<PrefixItem<()>> = group
-        .iter()
-        .map(|run| {
-            let sim = SimConfig::new(assign.clone(), FailureSchedule::none(n), hps_base())
-                .with_seed(run.seed);
-            let sim = run
-                .scenario
-                .install(sim)
-                .expect("generated scenarios validate");
-            let clean = clean_instant(&sim, &run.scenario);
-            cleans.push(clean);
-            PrefixItem {
-                goal: RunGoal::Until(clean + cfg.detector_margin),
-                config: sim,
-                tag: (),
-            }
-        })
-        .collect();
-    let verdicts = workers.detector.run_family(
-        &items,
-        |_, _, _| EvtHpProcess::new(),
-        |engine, j| {
-            let sched = engine.config().sched.clone();
-            let mut evt = Vec::with_capacity(n);
-            let mut omg = Vec::with_capacity(n);
-            for hist in engine.histories() {
-                let (e, o) = split_snapshots(hist);
-                evt.push(e);
-                omg.push(o);
-            }
-            let result = check_evt_hp(&evt, &sched, assign)
-                .map(|_| ())
-                .and_then(|()| check_h_omega(&omg, &sched, assign).map(|_| ()));
-            classify_run(
-                RunCondition::clean_from(cleans[j]).with_corrupt(group[j].scenario.corrupt_count()),
-                result,
-            )
-        },
-    );
-    group
-        .iter()
-        .zip(verdicts)
-        .map(|(run, verdict)| RunOutcome {
-            family: run.family,
-            seed: run.seed,
-            script: run.scenario.to_string(),
-            verdict,
-            corrupt: run.scenario.corrupt_count(),
-            probe_blocked: None,
+        .map(|((run, item), verdict)| {
+            let probe_blocked =
+                probe::<S>(run, &item.config, item.tag, &proposals, &mut worker.arena);
+            run.outcome(verdict, probe_blocked)
         })
         .collect()
 }
@@ -897,26 +766,6 @@ pub fn byz_tolerant_node(proposal: u64, assign: &IdentityAssignment) -> ByzToler
     )
 }
 
-/// The run condition of a tolerant-stack run: the tolerance claim is
-/// asserted exactly when the scenario's corruption stays inside the
-/// stack's `n > 3f` envelope — within it, violations are *real*
-/// counterexamples (never `ByzantineExpected`); past it the claim is
-/// withdrawn and violations are the demonstrated fall past the bound.
-fn byz_condition(cfg: &SweepConfig, scenario: &Scenario, clean: Time) -> RunCondition {
-    let corrupt = scenario.corrupt_count();
-    let condition = if scenario.is_lossy() {
-        RunCondition::never_clean()
-    } else {
-        RunCondition::clean_from(clean)
-    };
-    let condition = condition.with_corrupt(corrupt);
-    if 3 * corrupt < cfg.n {
-        condition.claiming_byzantine_tolerance(cfg.n)
-    } else {
-        condition
-    }
-}
-
 /// Base `HPS` network for scenario runs: pre-GST copies delayed but
 /// never lost by the *network* (loss, if any, is the scenario's move),
 /// so reliability is exactly what the scenario says it is. The GST here
@@ -931,281 +780,6 @@ pub fn hps_base() -> NetworkModel {
             max_delay: Span::from_ticks(20),
         },
     }
-}
-
-fn run_fig8(
-    cfg: &SweepConfig,
-    assign: &IdentityAssignment,
-    arena: &mut EngineArena<Fig8Node>,
-    scenario: &Scenario,
-    seed: u64,
-    probe_at: Option<Time>,
-) -> (RunVerdict<()>, Option<bool>) {
-    let n = cfg.n;
-    let t = (n - 1) / 2;
-    let proposals: Vec<u64> = (0..n as u64).map(|i| 100 + i).collect();
-    let build = || {
-        let sim =
-            SimConfig::new(assign.clone(), FailureSchedule::none(n), hps_base()).with_seed(seed);
-        scenario.install(sim).expect("generated scenarios validate")
-    };
-    let sim = build();
-    let sched = sim.sched.clone();
-    let clean = clean_instant(&sim, scenario);
-    let deadline = clean + cfg.decision_margin;
-    let props = proposals.clone();
-    let mut engine = Engine::new_in(sim, |p, _| fig8_node(props[p], n, t), std::mem::take(arena));
-    engine.run_until_all_correct_decided(deadline);
-    let result = check_consensus(&engine.outcome(proposals.clone()), &sched).map(|_| ());
-    *arena = engine.into_arena();
-    // Figure 8 is written for reliable links (`HAS`-style): a scenario
-    // that permanently loses copies leaves its model, so termination is
-    // only required of loss-free scenarios. Corrupt processes void every
-    // obligation of the crash-only stack — violations under them are
-    // demonstrations, not falsifications (`RunVerdict::ByzantineExpected`).
-    let condition = if scenario.is_lossy() {
-        RunCondition::never_clean()
-    } else {
-        RunCondition::clean_from(clean)
-    };
-    let verdict = classify_run(condition.with_corrupt(scenario.corrupt_count()), result);
-
-    let probe_blocked = probe_at.map(|cut| {
-        let props = proposals.clone();
-        let mut probe = Engine::new_in(
-            build(),
-            |p, _| fig8_node(props[p], n, t),
-            std::mem::take(arena),
-        );
-        probe.run_until_all_correct_decided(cut);
-        let blocked = check_consensus(&probe.outcome(proposals.clone()), &sched).is_err();
-        *arena = probe.into_arena();
-        blocked
-    });
-    (verdict, probe_blocked)
-}
-
-fn run_byz(
-    cfg: &SweepConfig,
-    assign: &IdentityAssignment,
-    arena: &mut EngineArena<ByzTolerantNode>,
-    scenario: &Scenario,
-    seed: u64,
-    probe_at: Option<Time>,
-) -> (RunVerdict<()>, Option<bool>) {
-    let n = cfg.n;
-    let corrupt = scenario.corrupt_count();
-    let proposals: Vec<u64> = (0..n as u64).map(|i| 100 + i).collect();
-    let build = || {
-        let sim =
-            SimConfig::new(assign.clone(), FailureSchedule::none(n), hps_base()).with_seed(seed);
-        scenario.install(sim).expect("generated scenarios validate")
-    };
-    let sim = build();
-    let sched = sim.sched.clone();
-    let clean = clean_instant(&sim, scenario);
-    let deadline = clean + cfg.decision_margin;
-    let props = proposals.clone();
-    let mut engine = Engine::new_in(
-        sim,
-        |p, _| byz_tolerant_node(props[p], assign),
-        std::mem::take(arena),
-    );
-    engine.run_until_all_correct_decided(deadline);
-    let result =
-        check_byzantine_consensus(&engine.outcome(proposals.clone()), &sched, corrupt).map(|_| ());
-    *arena = engine.into_arena();
-    let verdict = classify_run(byz_condition(cfg, scenario, clean), result);
-
-    let probe_blocked = probe_at.map(|cut| {
-        let props = proposals.clone();
-        let mut probe = Engine::new_in(
-            build(),
-            |p, _| byz_tolerant_node(props[p], assign),
-            std::mem::take(arena),
-        );
-        probe.run_until_all_correct_decided(cut);
-        let blocked =
-            check_byzantine_consensus(&probe.outcome(proposals.clone()), &sched, corrupt).is_err();
-        *arena = probe.into_arena();
-        blocked
-    });
-    (verdict, probe_blocked)
-}
-
-fn run_byz_family_forked(
-    cfg: &SweepConfig,
-    assign: &IdentityAssignment,
-    workers: &mut ForkedWorkers,
-    group: &[PlannedRun],
-) -> Vec<RunOutcome> {
-    let n = cfg.n;
-    let proposals: Vec<u64> = (0..n as u64).map(|i| 100 + i).collect();
-    let mut cleans = Vec::with_capacity(group.len());
-    let items: Vec<PrefixItem<()>> = group
-        .iter()
-        .map(|run| {
-            let sim = SimConfig::new(assign.clone(), FailureSchedule::none(n), hps_base())
-                .with_seed(run.seed);
-            let sim = run
-                .scenario
-                .install(sim)
-                .expect("generated scenarios validate");
-            let clean = clean_instant(&sim, &run.scenario);
-            cleans.push(clean);
-            PrefixItem {
-                goal: RunGoal::UntilAllCorrectDecided(clean + cfg.decision_margin),
-                config: sim,
-                tag: (),
-            }
-        })
-        .collect();
-    let props = proposals.clone();
-    let verdicts = workers.byz.run_family(
-        &items,
-        |_, p, _| byz_tolerant_node(props[p], assign),
-        |engine, j| {
-            let sched = engine.config().sched.clone();
-            let corrupt = group[j].scenario.corrupt_count();
-            let result =
-                check_byzantine_consensus(&engine.outcome(proposals.clone()), &sched, corrupt)
-                    .map(|_| ());
-            classify_run(byz_condition(cfg, &group[j].scenario, cleans[j]), result)
-        },
-    );
-    group
-        .iter()
-        .zip(verdicts)
-        .enumerate()
-        .map(|(j, (run, verdict))| {
-            let probe_blocked = run
-                .probe
-                .then(|| first_heal(&run.scenario))
-                .flatten()
-                .map(|cut| {
-                    let props = proposals.clone();
-                    let sched = items[j].config.sched.clone();
-                    let corrupt = run.scenario.corrupt_count();
-                    let mut probe = Engine::new_in(
-                        items[j].config.clone(),
-                        |p, _| byz_tolerant_node(props[p], assign),
-                        std::mem::take(&mut workers.flat.byz),
-                    );
-                    probe.run_until_all_correct_decided(cut);
-                    let blocked = check_byzantine_consensus(
-                        &probe.outcome(proposals.clone()),
-                        &sched,
-                        corrupt,
-                    )
-                    .is_err();
-                    workers.flat.byz = probe.into_arena();
-                    blocked
-                });
-            RunOutcome {
-                family: run.family,
-                seed: run.seed,
-                script: run.scenario.to_string(),
-                verdict,
-                corrupt: run.scenario.corrupt_count(),
-                probe_blocked,
-            }
-        })
-        .collect()
-}
-
-fn run_fig9(
-    cfg: &SweepConfig,
-    assign: &IdentityAssignment,
-    arena: &mut EngineArena<QuorumConsensus<HOmegaOracle, HSigmaOracle>>,
-    scenario: &Scenario,
-    seed: u64,
-    probe_at: Option<Time>,
-) -> (RunVerdict<()>, Option<bool>) {
-    let n = cfg.n;
-    let proposals: Vec<u64> = (0..n as u64).map(|i| 100 + i).collect();
-    let network = NetworkModel::Asynchronous(homonym_sim::network::LatencyDistribution::Uniform {
-        min: Span::TICK,
-        max: Span::from_ticks(5),
-    });
-    let sim = SimConfig::new(assign.clone(), FailureSchedule::none(n), network).with_seed(seed);
-    let sim = scenario.install(sim).expect("generated scenarios validate");
-    let sched = sim.sched.clone();
-    let clean = clean_instant(&sim, scenario);
-    let deadline = clean + cfg.decision_margin;
-    // Oracle detectors stabilize once the environment is clean; before
-    // that they may churn arbitrarily (PreStability::Chaotic for HΩ).
-    let world = OracleWorld::new(sched.clone(), assign.clone(), clean);
-    let build_engine =
-        |sim: SimConfig, arena: EngineArena<QuorumConsensus<HOmegaOracle, HSigmaOracle>>| {
-            let props = proposals.clone();
-            let w = &world;
-            Engine::new_in(
-                sim,
-                move |p, _| {
-                    QuorumConsensus::new(
-                        props[p],
-                        w.h_omega_for(p, PreStability::Chaotic),
-                        w.h_sigma_for(p, PreStability::Truthful),
-                    )
-                },
-                arena,
-            )
-        };
-    let mut engine = build_engine(sim.clone(), std::mem::take(arena));
-    engine.run_until_all_correct_decided(deadline);
-    let result = check_consensus(&engine.outcome(proposals.clone()), &sched).map(|_| ());
-    *arena = engine.into_arena();
-    let condition = if scenario.is_lossy() {
-        RunCondition::never_clean()
-    } else {
-        RunCondition::clean_from(clean)
-    };
-    let verdict = classify_run(condition.with_corrupt(scenario.corrupt_count()), result);
-
-    let probe_blocked = probe_at.map(|cut| {
-        let mut probe = build_engine(sim.clone(), std::mem::take(arena));
-        probe.run_until_all_correct_decided(cut);
-        let blocked = check_consensus(&probe.outcome(proposals.clone()), &sched).is_err();
-        *arena = probe.into_arena();
-        blocked
-    });
-    (verdict, probe_blocked)
-}
-
-fn run_detector(
-    cfg: &SweepConfig,
-    assign: &IdentityAssignment,
-    arena: &mut EngineArena<EvtHpProcess>,
-    scenario: &Scenario,
-    seed: u64,
-) -> RunVerdict<()> {
-    let n = cfg.n;
-    let sim = SimConfig::new(assign.clone(), FailureSchedule::none(n), hps_base()).with_seed(seed);
-    let sim = scenario.install(sim).expect("generated scenarios validate");
-    let sched = sim.sched.clone();
-    let clean = clean_instant(&sim, scenario);
-    let horizon = clean + cfg.detector_margin;
-    let mut engine = Engine::new_in(sim, |_, _| EvtHpProcess::new(), std::mem::take(arena));
-    engine.run_until(horizon);
-    let mut evt = Vec::with_capacity(n);
-    let mut omg = Vec::with_capacity(n);
-    for hist in engine.histories() {
-        let (e, o) = split_snapshots(hist);
-        evt.push(e);
-        omg.push(o);
-    }
-    let result = check_evt_hp(&evt, &sched, assign)
-        .map(|_| ())
-        .and_then(|()| check_h_omega(&omg, &sched, assign).map(|_| ()));
-    *arena = engine.into_arena();
-    // `◇HP` lives in `HPS`, which tolerates arbitrary pre-GST behaviour
-    // — lossy scenarios included — so liveness is required of every
-    // scenario the generators produce (all network faults end before
-    // GST); corrupt processes again turn violations into demonstrations.
-    classify_run(
-        RunCondition::clean_from(clean).with_corrupt(scenario.corrupt_count()),
-        result,
-    )
 }
 
 // ---------------------------------------------------------------------------
@@ -1323,25 +897,16 @@ pub fn replay_byzantine_counterexample(
             probe: false,
         })
         .collect();
-    let mut workers = ForkedWorkers::new();
-    let forked = run_family_forked(cfg, &assign, &mut workers, &group);
-    let mut flat_arenas = WorkerArenas::new();
-    let flat: Vec<RunOutcome> = group
-        .iter()
-        .map(|run| run_flat(cfg, &assign, &mut flat_arenas, run))
-        .collect();
-    let stats = ForkStats {
-        runs: workers.fig8.stats.runs + workers.detector.stats.runs + workers.byz.stats.runs,
-        forked: workers.fig8.stats.forked
-            + workers.detector.stats.forked
-            + workers.byz.stats.forked,
-        snapshots: workers.fig8.stats.snapshots
-            + workers.detector.stats.snapshots
-            + workers.byz.stats.snapshots,
-        shared_ticks: workers.fig8.stats.shared_ticks
-            + workers.detector.stats.shared_ticks
-            + workers.byz.stats.shared_ticks,
-    };
+    let (forked, flat, stats) = with_stack!(cfg.stack, |S| {
+        let mut worker = Worker::<S>::new();
+        let forked = run_family(cfg, &assign, &mut worker, &group);
+        let mut arena = EngineArena::new();
+        let flat: Vec<RunOutcome> = group
+            .iter()
+            .map(|run| run_flat::<S>(cfg, &assign, &mut arena, run))
+            .collect();
+        (forked, flat, worker.sweeper.stats)
+    });
     ByzantineReplay {
         scripts: group.iter().map(|r| r.scenario.to_string()).collect(),
         forked: forked.into_iter().map(|o| o.verdict).collect(),

@@ -213,25 +213,37 @@ fn a_checkpoint_directory_refuses_a_different_sweep() {
 }
 
 /// Spilling cold prefix snapshots to disk under a zero RAM budget is
-/// invisible to the report, on every stack with a wire codec.
+/// invisible to the report, on every stack with a wire codec. At 2 × 4
+/// every family takes a single snapshot, the top of the sweeper's stack,
+/// which is never spilled; the tolerant stack at 4 × 8 takes deeper
+/// families whose snapshots really go to disk and come back.
 #[test]
 fn spilling_under_a_zero_budget_leaves_the_report_unchanged() {
-    for stack in [
-        StackKind::Fig8EvtHp,
-        StackKind::EvtHpDetector,
-        StackKind::ByzTolerant,
+    for (stack, scenarios, variants, spills) in [
+        (StackKind::Fig8EvtHp, 2, 4, false),
+        (StackKind::EvtHpDetector, 2, 4, false),
+        (StackKind::ByzTolerant, 2, 4, false),
+        (StackKind::ByzTolerant, 4, 8, true),
     ] {
-        let cfg = SweepConfig::new(stack, 2).with_variants(4);
+        let cfg = SweepConfig::new(stack, scenarios).with_variants(variants);
         let expected = falsification_sweep_forked(&cfg);
-        let dir = unique_dir(&format!("spill-{}", stack.name()));
+        let tag = format!("spill-{}-{scenarios}x{variants}", stack.name());
+        let dir = unique_dir(&tag);
         let _ = std::fs::remove_dir_all(&dir);
         let (report, stats) = checkpointed_falsification_sweep(
             &cfg,
             &CheckpointConfig::new(&dir).with_spill_budget(0),
         )
         .expect("spilling sweep");
-        assert_eq!(report, expected, "stack {}", stack.name());
-        assert_eq!(stats.groups_executed, 2, "stack {}", stack.name());
+        assert_eq!(report, expected, "{tag}");
+        assert_eq!(stats.groups_executed, scenarios as u64, "{tag}");
+        if spills {
+            assert!(
+                stats.spill.spilled > 0 && stats.spill.reloaded > 0,
+                "{tag}: {:?}",
+                stats.spill
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
