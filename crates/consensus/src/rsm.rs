@@ -477,9 +477,12 @@ impl<C: HeightEngine> ReplicatedLog<C> {
 
         self.height += 1;
         self.tallies = self.tallies.split_off(&self.height);
-        // Past-height answer throttles below the new height are dead
-        // weight only if laggards stop asking; keep them — the map is at
-        // most log-sized and answers stay rate-limited.
+        // An expired throttle gates nothing — `answer_past` treats it as
+        // absent, and local time only moves forward — so drop them: the
+        // map then holds at most one `answer_interval` of answers instead
+        // of one entry per past height.
+        let (now, interval) = (ctx.local_now(), self.opts.answer_interval);
+        self.last_answer.retain(|_, t| *t + interval > now);
 
         let proposal = self.client.proposal(ctx.local_now());
         self.inner = C::spawn(&self.seed, proposal);
@@ -785,6 +788,44 @@ mod tests {
         node.tally_commit(0, 42, other, &mut sink);
         node.drain_certified(&mut sink);
         assert_eq!(node.log(), &[42]);
+    }
+
+    #[test]
+    fn answer_throttles_stay_bounded_and_rate_limited() {
+        let assign = IdentityAssignment::round_robin(4, 2);
+        let queues = WorkloadConfig::default().queues(4);
+        let mut node = byz_rsm_node(&assign, queues[0].clone());
+        node.opts.commit_quorum = 1;
+        let interval = node.opts.answer_interval.ticks();
+        let label = assign.id_of(1);
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
+        // One height committed per tick; after each commit a laggard asks
+        // about the new past height twice and about an older one it was
+        // answered on less than an interval ago.
+        for h in 0..2_000u64 {
+            let now = Time::from_ticks(h);
+            let mut actions = Vec::new();
+            let mut sink = ActionSink::new(label, now, &mut rng, &mut actions);
+            node.tally_commit(h, h, label, &mut sink);
+            node.drain_certified(&mut sink);
+            assert_eq!(node.height(), h + 1);
+
+            let mut asked = Vec::new();
+            let mut sink = ActionSink::new(label, now, &mut rng, &mut asked);
+            node.answer_past(h, &mut sink);
+            node.answer_past(h, &mut sink);
+            node.answer_past(h.saturating_sub(interval / 2), &mut sink);
+            let answers = asked
+                .iter()
+                .filter(|a| matches!(a, Action::Broadcast(RsmMsg::Commit { .. })))
+                .count();
+            assert_eq!(answers, 1, "answers at height {h} are not rate-limited");
+            assert!(
+                node.last_answer.len() as u64 <= interval,
+                "{} throttles retained at height {h}",
+                node.last_answer.len()
+            );
+        }
     }
 
     #[test]

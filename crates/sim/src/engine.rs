@@ -316,9 +316,11 @@ pub(crate) struct ProcSlot<P: Process> {
 
 /// Recycled engine allocations, so a multi-seed sweep can run thousands
 /// of seeds through one warm set of buffers instead of building a fresh
-/// world per seed: the calendar queue's bucket ring, the history and
-/// decision tables, the tick batch, and every scratch buffer survive
-/// from run to run with their capacities intact.
+/// world per seed: the history and decision tables, the tick batch, and
+/// every scratch buffer survive from run to run with their capacities
+/// intact, and the calendar queue keeps its bucket storage on its free
+/// list — one buffer per tick the previous runs had occupied at once,
+/// not one per ring bucket.
 ///
 /// Obtain one from [`Engine::into_arena`] after a run and hand it to
 /// [`Engine::new_in`] for the next; see

@@ -25,6 +25,16 @@
 //!   latencies and timer delays are small bounded spans, so almost every
 //!   event lands here. Each bucket is a `Vec` kept in insertion-sequence
 //!   order (a binary search protects the rare out-of-order migration).
+//! * Only occupied buckets own storage. A bucket that empties — drained
+//!   by [`CalendarQueue::pop`] or [`CalendarQueue::take_tick`], or
+//!   cleared by [`CalendarQueue::reset`] or `clone_from` — parks its
+//!   storage on a free list, and a bucket that fills takes storage from
+//!   it. A buffer therefore lives in exactly one of three places: an
+//!   occupied bucket, the `take_tick` caller's batch, or the free list.
+//!   The number of buffers is bounded by the peak number of ticks
+//!   occupied at once, plus one for the caller's batch — a few dozen on
+//!   the engine's latency and timer spans, not one per ring bucket — so
+//!   retained storage follows the live event set, not the run's length.
 //! * An occupancy bitmap (one bit per bucket) finds the next nonempty
 //!   tick with word-level scans instead of walking empty buckets.
 //! * Events beyond the window go to a `BinaryHeap` keyed by
@@ -66,12 +76,16 @@ impl<E> Ord for FarEvent<E> {
     }
 }
 
+/// Bucket storage: `(seq, event)` entries; popped slots hold `None`.
+type Slots<E> = Vec<(u64, Option<E>)>;
+
 /// A ring bucket: `(seq, event)` entries sorted by `seq`, popped from
 /// `head` so dequeuing is O(1) without shifting. Popped slots hold
-/// `None`; the bucket is cleared once fully drained.
+/// `None`; once fully drained the bucket hands its storage to the free
+/// list, so an empty bucket owns no allocation.
 struct Bucket<E> {
     head: usize,
-    items: Vec<(u64, Option<E>)>,
+    items: Slots<E>,
 }
 
 impl<E: Clone> Clone for Bucket<E> {
@@ -99,6 +113,28 @@ impl<E> Bucket<E> {
     fn is_drained(&self) -> bool {
         self.head >= self.items.len()
     }
+
+    /// Gives a bucket without storage a buffer from the free list, so
+    /// the push that follows reuses a parked allocation.
+    #[inline]
+    fn claim_storage(&mut self, free: &mut Vec<Slots<E>>) {
+        if self.items.capacity() == 0 {
+            if let Some(items) = free.pop() {
+                self.items = items;
+            }
+        }
+    }
+
+    /// Empties the bucket, parking its storage on the free list (a
+    /// zero-capacity vector owns no allocation and is simply dropped).
+    fn release(&mut self, free: &mut Vec<Slots<E>>) {
+        self.head = 0;
+        let mut items = std::mem::take(&mut self.items);
+        if items.capacity() > 0 {
+            items.clear();
+            free.push(items);
+        }
+    }
 }
 
 /// Calendar queue dispatching in exact `(time, seq)` order.
@@ -113,15 +149,19 @@ pub(crate) struct CalendarQueue<E> {
     /// scans the occupancy bitmap once per event instead of twice.
     next_tick: Option<u64>,
     overflow: BinaryHeap<Reverse<FarEvent<E>>>,
+    /// Empty buffers parked by drained buckets, reused by filling ones.
+    free: Vec<Slots<E>>,
 }
 
 /// Snapshot support: the queue clones bucket by bucket, preserving its
 /// exact internal state (window position, partially drained buckets,
 /// overflow heap), so a restored engine replays the identical `(time,
-/// seq)` dequeue sequence. `clone_from` reuses the destination's bucket
-/// allocations — the snapshot/restore hot path of the prefix-sharing
-/// sweep executor goes through it so repeated snapshots recycle one set
-/// of buffers instead of reallocating 1024 buckets per fork.
+/// seq)` dequeue sequence. A clone allocates storage only for occupied
+/// buckets and starts with an empty free list. `clone_from` reuses the
+/// destination's allocations — buckets the source leaves empty park
+/// their storage, buckets it fills draw from the free list — so the
+/// snapshot/restore hot path of the prefix-sharing sweep executor
+/// recycles one set of buffers instead of reallocating per fork.
 impl<E: Clone> Clone for CalendarQueue<E> {
     fn clone(&self) -> Self {
         CalendarQueue {
@@ -131,12 +171,18 @@ impl<E: Clone> Clone for CalendarQueue<E> {
             window: self.window,
             next_tick: self.next_tick,
             overflow: self.overflow.clone(),
+            free: Vec::new(),
         }
     }
 
     fn clone_from(&mut self, source: &Self) {
         for (dst, src) in self.buckets.iter_mut().zip(&source.buckets) {
-            dst.clone_from(src);
+            if src.items.is_empty() {
+                dst.release(&mut self.free);
+            } else {
+                dst.claim_storage(&mut self.free);
+                dst.clone_from(src);
+            }
         }
         self.occupied = source.occupied;
         self.ring_len = source.ring_len;
@@ -155,6 +201,7 @@ impl<E> CalendarQueue<E> {
             window: 0,
             next_tick: None,
             overflow: BinaryHeap::new(),
+            free: Vec::new(),
         }
     }
 
@@ -186,6 +233,7 @@ impl<E> CalendarQueue<E> {
         if at - self.window < WHEEL_TICKS {
             let idx = (at % WHEEL_TICKS) as usize;
             let bucket = &mut self.buckets[idx];
+            bucket.claim_storage(&mut self.free);
             // In-order fast path: sequences are handed out monotonically,
             // so appends keep the bucket sorted by seq.
             match bucket.items.last() {
@@ -225,6 +273,7 @@ impl<E> CalendarQueue<E> {
         if at - self.window < WHEEL_TICKS {
             let idx = (at % WHEEL_TICKS) as usize;
             let bucket = &mut self.buckets[idx];
+            bucket.claim_storage(&mut self.free);
             debug_assert!(
                 bucket.items.last().is_none_or(|&(last, _)| last < seq),
                 "push_in_order caller violated seq monotonicity"
@@ -250,6 +299,7 @@ impl<E> CalendarQueue<E> {
             // Ring pushes bypass `push` to avoid re-checking the window.
             let idx = (far.at % WHEEL_TICKS) as usize;
             let bucket = &mut self.buckets[idx];
+            bucket.claim_storage(&mut self.free);
             let pos = bucket
                 .items
                 .partition_point(|(s, _)| *s < far.seq)
@@ -323,8 +373,7 @@ impl<E> CalendarQueue<E> {
         let seq = slot.0;
         let event = slot.1.take().expect("slot popped twice");
         if bucket.is_drained() {
-            bucket.items.clear();
-            bucket.head = 0;
+            bucket.release(&mut self.free);
             self.clear_occupied(idx);
             self.next_tick = None;
         }
@@ -350,10 +399,13 @@ impl<E> CalendarQueue<E> {
     /// time; `None` when the queue is empty or the earliest event lies
     /// beyond the deadline (`out` is untouched then).
     ///
-    /// `out` must arrive empty: it becomes the bucket's replacement
-    /// storage, so the caller hands its (cleared) buffer back on the next
-    /// call and bucket capacities circulate between the queue and the
-    /// caller without reallocation.
+    /// `out` must arrive empty: its storage goes onto the queue's free
+    /// list and the drained bucket is left without any, so the caller
+    /// hands its (cleared) buffer back on the next call and buffers
+    /// circulate between the caller, the free list and the occupied
+    /// buckets without reallocation. The queue never keeps storage in an
+    /// empty bucket, so what it retains is bounded by the peak number of
+    /// ticks occupied at once, not by the ring size.
     ///
     /// This is the batched dequeue: window advance, overflow migration
     /// and the occupancy-bitmap scan happen once per *tick*, the handoff
@@ -385,9 +437,9 @@ impl<E> CalendarQueue<E> {
         let bucket = &mut self.buckets[idx];
         debug_assert!(!bucket.is_drained(), "occupancy bit without items");
         let live = bucket.items.len() - bucket.head;
-        std::mem::swap(&mut bucket.items, out);
         let head = bucket.head;
-        bucket.head = 0;
+        std::mem::swap(&mut bucket.items, out);
+        bucket.release(&mut self.free);
         self.clear_occupied(idx);
         self.next_tick = None;
         self.ring_len -= live;
@@ -433,18 +485,25 @@ impl<E> CalendarQueue<E> {
     }
 
     /// Returns the queue to its freshly-constructed state while keeping
-    /// every bucket's allocation, so a sweep can reuse one queue across
-    /// runs (see `EngineArena`).
+    /// every bucket allocation on the free list, so a sweep can reuse
+    /// one queue across runs (see `EngineArena`).
     pub(crate) fn reset(&mut self) {
         for bucket in &mut self.buckets {
-            bucket.items.clear();
-            bucket.head = 0;
+            bucket.release(&mut self.free);
         }
         self.occupied = [0; WHEEL_WORDS];
         self.ring_len = 0;
         self.window = 0;
         self.next_tick = None;
         self.overflow.clear();
+    }
+
+    /// Slot capacity the queue holds: every bucket's storage plus the
+    /// free list (overflow heap excluded).
+    #[cfg(test)]
+    fn retained_slots(&self) -> usize {
+        let buckets: usize = self.buckets.iter().map(|b| b.items.capacity()).sum();
+        buckets + self.free.iter().map(Vec::capacity).sum::<usize>()
     }
 }
 
@@ -542,44 +601,115 @@ mod tests {
         drop(q); // must not double-drop "a"
     }
 
+    /// The calendar queue against a `BTreeMap` model under a random mix
+    /// of pushes near and far, per-event pops, batched tick drains,
+    /// resets, and snapshot/restore round-trips through `clone` and
+    /// `clone_from` — every path that moves bucket storage between the
+    /// ring, the caller's batch and the free list.
     #[test]
     fn reference_model_and_calendar_agree_on_random_workloads() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         use std::collections::BTreeMap;
 
+        type Model = BTreeMap<(Time, u64), u64>;
         for seed in 0..20 {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut cal = CalendarQueue::new();
-            let mut reference: BTreeMap<(Time, u64), u64> = BTreeMap::new();
+            let mut reference: Model = BTreeMap::new();
+            let mut saved: Option<(CalendarQueue<u64>, Model, u64)> = None;
+            let mut batch: Vec<(u64, Option<u64>)> = Vec::new();
             let mut seq = 0u64;
             let mut now = 0u64;
-            let mut ops = 0;
-            while ops < 2_000 {
-                ops += 1;
-                // Mixed pushes near and far, interleaved with pops.
-                if rng.gen_bool(0.6) || cal.is_empty() {
-                    let horizon: u64 = if rng.gen_bool(0.9) {
-                        rng.gen_range(0..64)
-                    } else {
-                        rng.gen_range(0..WHEEL_TICKS * 4)
-                    };
-                    let at = Time::from_ticks(now + horizon);
-                    cal.push(at, seq, seq);
-                    reference.insert((at, seq), seq);
-                    seq += 1;
+            for op in 0..2_000 {
+                let roll = if cal.is_empty() {
+                    0
                 } else {
-                    assert_eq!(
-                        cal.peek_time(),
-                        reference.first_key_value().map(|(&(t, _), _)| t)
-                    );
-                    let a = cal.pop();
-                    let b = reference.pop_first().map(|((t, s), e)| (t, s, e));
-                    assert_eq!(a, b, "diverged at op {ops} of seed {seed}");
-                    if let Some((t, _, _)) = a {
-                        now = t.ticks();
+                    rng.gen_range(0..100u32)
+                };
+                match roll {
+                    // Mixed pushes near and far...
+                    0..=54 => {
+                        let horizon: u64 = if rng.gen_bool(0.9) {
+                            rng.gen_range(0..64)
+                        } else {
+                            rng.gen_range(0..WHEEL_TICKS * 4)
+                        };
+                        let at = Time::from_ticks(now + horizon);
+                        cal.push(at, seq, seq);
+                        reference.insert((at, seq), seq);
+                        seq += 1;
+                    }
+                    // ...interleaved with per-event pops...
+                    55..=74 => {
+                        assert_eq!(
+                            cal.peek_time(),
+                            reference.first_key_value().map(|(&(t, _), _)| t)
+                        );
+                        let a = cal.pop();
+                        let b = reference.pop_first().map(|((t, s), e)| (t, s, e));
+                        assert_eq!(a, b, "diverged at op {op} of seed {seed}");
+                        if let Some((t, _, _)) = a {
+                            now = t.ticks();
+                        }
+                    }
+                    // ...batched drains of one tick...
+                    75..=92 => {
+                        let deadline = Time::from_ticks(now + rng.gen_range(0..64));
+                        let next = reference.first_key_value().map(|(&(t, _), _)| t);
+                        batch.clear();
+                        match cal.take_tick(deadline, &mut batch) {
+                            None => {
+                                let next = next.expect("take_tick on a nonempty queue");
+                                assert!(next > deadline, "drain missed a due tick (seed {seed})");
+                                // Peeking may have jumped the window to
+                                // the next event; later pushes follow it.
+                                now = next.ticks();
+                            }
+                            Some((t, head)) => {
+                                assert_eq!(Some(t), next);
+                                for (s, e) in batch.drain(head..) {
+                                    let e = e.expect("live slot past head");
+                                    assert_eq!(reference.pop_first(), Some(((t, s), e)));
+                                }
+                                assert!(
+                                    reference.first_key_value().is_none_or(|(&(u, _), _)| u > t),
+                                    "drain left a same-tick event (op {op} of seed {seed})"
+                                );
+                                now = t.ticks();
+                            }
+                        }
+                    }
+                    // ...snapshots (a clone once, then refills)...
+                    93..=95 => match saved.as_mut() {
+                        None => saved = Some((cal.clone(), reference.clone(), now)),
+                        Some((q, model, at)) => {
+                            q.clone_from(&cal);
+                            model.clone_from(&reference);
+                            *at = now;
+                        }
+                    },
+                    // ...restores of the last snapshot...
+                    96..=98 => {
+                        if let Some((q, model, at)) = &saved {
+                            cal.clone_from(q);
+                            reference.clone_from(model);
+                            now = *at;
+                        }
+                    }
+                    // ...and resets.
+                    _ => {
+                        cal.reset();
+                        reference.clear();
                     }
                 }
+                assert_eq!(cal.len(), reference.len());
+                assert!(
+                    cal.buckets
+                        .iter()
+                        .all(|b| !b.items.is_empty() || b.items.capacity() == 0),
+                    "an empty bucket kept its storage (op {op} of seed {seed})"
+                );
             }
             while !reference.is_empty() {
                 assert_eq!(
@@ -588,6 +718,49 @@ mod tests {
                 );
             }
             assert!(cal.is_empty());
+        }
+    }
+
+    /// Retained storage follows the ticks occupied at once, not the ring
+    /// size: a burst of events lands on each of thousands of consecutive
+    /// ticks (spread over a few ticks of latency), drained mostly through
+    /// `take_tick` with one cycling caller buffer and sometimes through
+    /// per-event pops. Every ring bucket sees a burst, yet the queue must
+    /// keep only a handful of bursts' worth of slots.
+    #[test]
+    fn retained_storage_is_bounded_by_occupied_ticks() {
+        const BURST: usize = 32;
+        const SPREAD: u64 = 8;
+        let mut q = CalendarQueue::new();
+        let mut batch: Vec<(u64, Option<u64>)> = Vec::new();
+        let mut seq = 0u64;
+        for now in 0..4 * WHEEL_TICKS {
+            for i in 0..BURST as u64 {
+                q.push_in_order(Time::from_ticks(now + 1 + i % SPREAD), seq, seq);
+                seq += 1;
+            }
+            let deadline = Time::from_ticks(now + 1);
+            let mut drained = 0;
+            if now % 5 == 0 {
+                while let Some((t, _, _)) = q.pop_at_or_before(deadline) {
+                    assert_eq!(t, deadline);
+                    drained += 1;
+                }
+            } else {
+                batch.clear();
+                let (t, head) = q.take_tick(deadline, &mut batch).expect("a due tick");
+                assert_eq!(t, deadline);
+                drained = batch.len() - head;
+            }
+            // Each tick collects BURST / SPREAD events from each of the
+            // (up to) SPREAD bursts before it.
+            let expected = BURST as u64 / SPREAD * (now + 1).min(SPREAD);
+            assert_eq!(drained as u64, expected);
+            assert!(
+                q.retained_slots() <= 16 * BURST,
+                "{} slots retained at tick {now} (burst {BURST})",
+                q.retained_slots()
+            );
         }
     }
 
